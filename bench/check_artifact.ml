@@ -12,7 +12,7 @@
    contains no degraded or crashed verdict and no failed check; exit 1
    with a diagnostic otherwise.  Per-experiment "metrics" objects (only
    present on --metrics/--trace sweeps) are shape-checked too, including
-   that known scheduling-dependent counters (pool steals, pipe bytes)
+   that known scheduling-dependent counters (e.g. pool steals)
    never appear in the deterministic "counters" section.  --strip
    prints the artifact with every nondeterministic field removed
    (Registry.strip_timings: wall clocks, Timer cells, float measures,
@@ -30,10 +30,12 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check_artifact: " ^ s);
 
 (* Counters whose value depends on scheduling, buffering or completion
    order rather than on the computation alone.  They are registered
-   [Obs.volatile] at their definition sites (parallel.ml, pool.ml); an
-   artifact carrying one in the deterministic "counters" section was
-   built against a miscategorized registration and would flakily break
-   the stripped normal form that --same-stripped gates. *)
+   [Obs.volatile] at their definition sites (pool.ml; parallel.pipe_bytes
+   came from the retired fork-per-job runner and stays listed so older
+   artifacts are still checked); an artifact carrying one in the
+   deterministic "counters" section was built against a miscategorized
+   registration and would flakily break the stripped normal form that
+   --same-stripped gates. *)
 let scheduling_dependent = [ "parallel.pipe_bytes"; "pool.steals" ]
 
 let member_exn key json ~ctx =

@@ -1,9 +1,8 @@
 (* Driver logic shared by bench/main.exe and the CLI `experiments`
    subcommand: registration, selection (legacy group selectors and
-   --only id lists), execution at either scale — sequentially, across
-   --jobs forked workers, or on a persistent pre-forked worker pool
-   (--pool), with an optional per-experiment --timeout —
-   optional observability recording (--metrics counters, --trace span
+   --only id lists), execution at either scale — sequentially or across
+   --jobs workers of the pre-forked pool (Harness.Pool), with an
+   optional per-experiment --timeout — optional observability recording (--metrics counters, --trace span
    durations: a metrics object per experiment in the artifact and a
    summed table after the summary), JSON artifact emission (with a
    parse round-trip so a malformed artifact can never be written), and
@@ -66,14 +65,13 @@ type opts = {
   force_degrade : string list;
       (** ids whose verdict is forced to Degraded after the run — a
           testing hook for the nonzero-exit path *)
-  jobs : int;  (** worker processes; 1 = in-process sequential run *)
+  jobs : int;
+      (** pool workers; 1 = in-process sequential run (unless [timeout]
+          or [force_crash] asks for a worker) *)
   timeout : float option;  (** per-experiment wall-clock budget, seconds *)
   force_crash : string list;
       (** ids whose worker is killed mid-run — the fault-injection hook
-          for the crash-isolation path (implies forked workers) *)
-  pool : bool;
-      (** dispatch through the persistent pre-forked pool
-          ({!Harness.Pool}) instead of fork-per-experiment *)
+          for the crash-isolation path (implies pool workers) *)
   metrics : bool;
       (** record Obs counters: a metrics object per experiment in the
           artifact, plus a summed table after the summary *)
@@ -91,7 +89,6 @@ let default_opts =
     jobs = 1;
     timeout = None;
     force_crash = [];
-    pool = false;
     metrics = false;
     trace = false;
   }
@@ -102,7 +99,8 @@ let render_json ~scale results =
   let text = Harness.Json.to_string ~pretty:true (R.report_json ~scale results) in
   match Harness.Json.of_string text with
   | Ok _ -> Ok text
-  | Error e -> Error (Printf.sprintf "internal: JSON artifact does not parse: %s" e)
+  | Error e ->
+      Error (Printf.sprintf "error: internal: JSON artifact does not parse: %s" e)
 
 (* Run the selected experiments; returns the process exit code. *)
 let run opts =
@@ -154,23 +152,22 @@ let run opts =
         if opts.trace then Obs.set_level Obs.Trace
         else if opts.metrics then Obs.set_level Obs.Counters;
         Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
-        (* In forked mode the parent performs no experiment work, so its
-           own delta is exactly the orchestration-side story (pool
-           spawns, timeout kills, pipe bytes) — worth a table row.  In
-           the in-process sequential run the same delta would merely
-           double-count every experiment, so it is not collected. *)
-        let forked =
-          opts.pool || opts.jobs > 1 || opts.timeout <> None
-          || opts.force_crash <> []
+        (* On the pool the parent performs no experiment work, so its
+           own delta is exactly the orchestration-side story (dispatches,
+           respawns, steals) — worth a table row.  In the in-process
+           sequential run the same delta would merely double-count every
+           experiment, so it is not collected.  The condition mirrors
+           Registry.run_parallel's choice of engine. *)
+        let pooled =
+          opts.jobs > 1 || opts.timeout <> None || opts.force_crash <> []
         in
         let driver_snap =
-          if forked && Obs.recording () then Some (Obs.snapshot ()) else None
+          if pooled && Obs.recording () then Some (Obs.snapshot ()) else None
         in
         let echo = if opts.echo then print_string else fun _ -> () in
-        let dispatch = if opts.pool then `Pool else `Fork in
         let results =
           R.run_parallel ~scale:opts.scale ~jobs:opts.jobs ?timeout:opts.timeout
-            ~force_crash:opts.force_crash ~dispatch ~echo experiments
+            ~force_crash:opts.force_crash ~echo experiments
         in
         let driver =
           Option.map (fun snap -> E.metrics_of_obs (Obs.delta snap)) driver_snap

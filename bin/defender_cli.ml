@@ -598,8 +598,10 @@ let experiments_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Run experiments across $(docv) forked worker processes (1 = \
-             in-process sequential run; results keep registration order).")
+            "Run experiments across $(docv) workers of a pre-forked pool \
+             (1 = in-process sequential run; results keep registration \
+             order).  A worker that dies is respawned and its experiment \
+             retried once before being reported crashed.")
   in
   let timeout_arg =
     Arg.(
@@ -619,23 +621,13 @@ let experiments_cmd =
             "Kill the worker running each listed experiment (fault-injection \
              test hook for the crash-isolation path).")
   in
-  let pool_arg =
-    Arg.(
-      value & flag
-      & info [ "pool" ]
-          ~doc:
-            "Dispatch through a persistent pre-forked worker pool instead of \
-             forking one worker per experiment: workers live across \
-             experiments, a crashed worker is respawned and its experiment \
-             retried once before being reported crashed.")
-  in
   let split_ids = function
     | None -> []
     | Some ids -> String.split_on_char ',' ids |> List.filter (fun x -> x <> "")
   in
-  let run list only json smoke quiet jobs pool timeout force_crash metrics trace
-      =
-    if list then `Ok (print_string (Experiments.Runner.list_text ()))
+  let run list only json smoke quiet jobs timeout force_crash metrics trace =
+    handle @@ fun () ->
+    if list then print_string (Experiments.Runner.list_text ())
     else
       let opts =
         {
@@ -646,17 +638,19 @@ let experiments_cmd =
           json_out = json;
           echo = not quiet;
           jobs;
-          pool;
           timeout;
           force_crash = split_ids force_crash;
           metrics;
           trace;
         }
       in
+      (* Runner.run prints its own one-line "error: ..." for every
+         input or internal failure (exit codes 2 and 3); only the
+         degraded/crashed verdict (1) is left to report here. *)
       match Experiments.Runner.run opts with
-      | 0 -> `Ok ()
-      | 1 -> `Error (false, "one or more experiments degraded or crashed")
-      | _ -> `Error (false, "experiment selection failed")
+      | 0 -> ()
+      | 1 -> failwith "one or more experiments degraded or crashed"
+      | _ -> exit 1
   in
   Cmd.v
     (Cmd.info "experiments"
@@ -666,8 +660,7 @@ let experiments_cmd =
     Term.(
       ret
         (const run $ list_arg $ only_arg $ json_arg $ smoke_arg $ quiet_arg
-       $ jobs_arg $ pool_arg $ timeout_arg $ force_crash_arg $ metrics_arg
-       $ trace_arg))
+       $ jobs_arg $ timeout_arg $ force_crash_arg $ metrics_arg $ trace_arg))
 
 (* serve / query: the batch-query daemon (Harness.Daemon specialized by
    Service.Daemon_service) and its scriptable client. *)

@@ -1,4 +1,4 @@
-(** The [Harness] namespace root: experiment engine, JSON codec, forked
+(** The [Harness] namespace root: experiment engine, JSON codec, pre-forked
     worker pool, statistics, tables and timers, plus the zero-dependency
     observability core re-exported as [Harness.Obs].
 
@@ -12,7 +12,6 @@ module Experiment = Experiment
 module Json = Json
 module Lru = Lru
 module Obs = Obs
-module Parallel = Parallel
 module Pool = Pool
 module Registry = Registry
 module Stats = Stats

@@ -162,13 +162,11 @@ let run ?(scale = Experiment.Full) ?(echo = fun _ -> ()) experiments =
     experiments
 
 let run_parallel ?(scale = Experiment.Full) ?(jobs = 1) ?timeout
-    ?(force_crash = []) ?(dispatch = `Fork) ?(echo = fun _ -> ()) experiments =
+    ?(force_crash = []) ?(echo = fun _ -> ()) experiments =
   if jobs < 1 then invalid_arg "Registry.run_parallel: jobs must be positive";
-  if dispatch = `Fork && jobs = 1 && timeout = None && force_crash = [] then
-    (* The degenerate fork pool is the sequential runner itself — same
-       code path, same streaming echo, byte-identical output.  The
-       persistent pool never takes this shortcut: [--pool --jobs 1] must
-       exercise the worker protocol it claims to. *)
+  if jobs = 1 && timeout = None && force_crash = [] then
+    (* Nothing asks for a worker: this is the sequential runner itself —
+       same code path, same streaming echo, byte-identical output. *)
     run ~scale ~echo experiments
   else begin
     let arr = Array.of_list experiments in
@@ -180,26 +178,21 @@ let run_parallel ?(scale = Experiment.Full) ?(jobs = 1) ?timeout
         Unix.kill (Unix.getpid ()) Sys.sigkill;
       Experiment.result_to_wire (Experiment.run ~scale e)
     in
-    let outcomes =
-      match dispatch with
-      | `Fork -> Parallel.run ~jobs ?timeout (Array.length arr) worker
-      | `Pool -> Pool.run ~jobs ?timeout (Array.length arr) worker
-    in
     let results =
       Array.to_list
         (Array.mapi
            (fun i outcome ->
              let e = arr.(i) in
              match outcome with
-             | Parallel.Completed json -> (
+             | Pool.Completed json -> (
                  match Experiment.result_of_wire json with
                  | Ok r -> r
                  | Error msg ->
                      Experiment.crashed e
                        ~reason:("malformed worker result: " ^ msg) ~wall:0.0)
-             | Parallel.Crashed { reason; wall } ->
+             | Pool.Crashed { reason; wall } ->
                  Experiment.crashed e ~reason ~wall)
-           outcomes)
+           (Pool.run ~jobs ?timeout (Array.length arr) worker))
     in
     (* Workers complete in machine order; echo in registration order
        once the sweep is done, matching the sequential rendering. *)
@@ -240,8 +233,8 @@ let report_json ~scale results =
 
    Metrics objects are deliberately only half stripped: span "total_s"
    durations and the "volatile" section go (clock- respectively
-   payload-dependent), while deterministic counters and span call
-   counts STAY — so the B14 sequential-vs-parallel byte-equality gate
+   scheduling-dependent), while deterministic counters and span call
+   counts STAY — so the B16 sequential-vs-pooled byte-equality gate
    also proves the counters' determinism contract across --jobs. *)
 let rec strip_timings json =
   match json with

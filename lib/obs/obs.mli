@@ -21,9 +21,9 @@
     be a pure function of the computation performed — never of the
     clock, the scheduler or payload encodings — so that an experiment's
     counter delta is bit-identical between a sequential sweep and a
-    [--jobs N] worker (the B14 gate).  Quantities that cannot promise
-    this (e.g. pipe byte volumes, which embed rendered timing floats)
-    must use {!volatile} counters instead; [Registry.strip_timings]
+    [--jobs N] pool worker (the B16 gate).  Quantities that cannot
+    promise this (e.g. how many jobs a pool worker stole, which depends
+    on completion order) must use {!volatile} counters instead; [Registry.strip_timings]
     removes volatile values and span durations from artifacts but keeps
     everything deterministic. *)
 

@@ -105,6 +105,9 @@ let () =
   check "query: malformed family (encoded client-side)"
     [ "query"; "--socket"; "/tmp/cli_errors_no_such_daemon.sock";
       "--family"; "frobnicate:9" ];
+  (* experiment driver: bad selections are input errors too *)
+  check "experiments: --jobs 0" [ "experiments"; "--smoke"; "--jobs"; "0" ];
+  check "experiments: unknown id" [ "experiments"; "--only"; "ZZ" ];
 
   Sys.remove bogus_profile;
   if !failures > 0 then (

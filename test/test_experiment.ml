@@ -336,38 +336,60 @@ let test_registry_run_and_summary () =
           Alcotest.(check string) "schema tag" "defender-bench/v1" s
       | _ -> Alcotest.fail "no schema tag")
 
-(* --- Parallel runner --- *)
+(* --- Parallel runner (Registry.run_parallel on Harness.Pool) --- *)
 
 let find_result id results =
   match List.find_opt (fun (r : E.result) -> r.E.id = id) results with
   | Some r -> r
   | None -> Alcotest.failf "no result for %s" id
 
+(* Counted by every experiment below, so the stripped comparison also
+   covers deterministic counters recorded inside workers. *)
+let c_squares = Harness.Obs.counter "test.squares"
+
 let test_parallel_matches_sequential () =
   with_clean_registry (fun () ->
-      (* deterministic experiments only: text, checks and exact measures
-         must agree between the in-process and forked runs *)
+      (* deterministic experiments only: text, checks, exact measures and
+         counters must agree between the in-process and pooled runs *)
       for i = 1 to 5 do
         let id = Printf.sprintf "P%d" i in
         R.register
           (descr ~id (fun ctx ->
+               Harness.Obs.add c_squares (i * i);
                E.outf ctx "result %d\n" (i * i);
                ignore (E.check ctx ~label:"square" (i * i = i * i));
                E.measure ctx "sq" (E.Int (i * i));
                E.measure ctx "q" (E.Rat (Exact.Q.make i (i + 1)))))
       done;
+      let module Obs = Harness.Obs in
+      let ambient = Obs.level () in
+      Obs.set_level Obs.Counters;
+      Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
       let seq = R.run ~echo:ignore (R.all ()) in
-      let par = R.run_parallel ~jobs:3 ~echo:ignore (R.all ()) in
-      Alcotest.(check (list string)) "registration order kept"
-        (List.map (fun (r : E.result) -> r.E.id) seq)
-        (List.map (fun (r : E.result) -> r.E.id) par);
       let strip results =
         J.to_string (R.strip_timings (R.report_json ~scale:E.Full results))
       in
-      Alcotest.(check string) "stripped artifacts byte-identical" (strip seq)
-        (strip par);
-      Alcotest.(check bool) "no crashes" true
-        ((R.summarize par).R.crashed = 0))
+      Alcotest.(check bool) "counters recorded" true
+        (List.for_all
+           (fun (r : E.result) ->
+             match r.E.metrics with
+             | Some m -> List.mem_assoc "test.squares" m.E.m_counters
+             | None -> false)
+           seq);
+      List.iter
+        (fun jobs ->
+          let par = R.run_parallel ~jobs ~echo:ignore (R.all ()) in
+          Alcotest.(check (list string))
+            (Printf.sprintf "registration order kept at %d workers" jobs)
+            (List.map (fun (r : E.result) -> r.E.id) seq)
+            (List.map (fun (r : E.result) -> r.E.id) par);
+          Alcotest.(check string)
+            (Printf.sprintf "stripped artifact byte-identical at %d workers"
+               jobs)
+            (strip seq) (strip par);
+          Alcotest.(check bool) "no crashes" true
+            ((R.summarize par).R.crashed = 0))
+        [ 1; 2; 4 ])
 
 let test_parallel_crash_isolation () =
   with_clean_registry (fun () ->
@@ -380,8 +402,8 @@ let test_parallel_crash_isolation () =
         R.run_parallel ~jobs:2 ~force_crash:[ "C2" ] ~echo:ignore (R.all ())
       in
       let c2 = find_result "C2" results in
-      Alcotest.(check bool) "forced experiment crashed" true
-        (c2.E.verdict = E.Crashed);
+      Alcotest.(check bool) "forced experiment crashed (after its retry)"
+        true (c2.E.verdict = E.Crashed);
       Alcotest.(check bool) "reason names the signal" true
         (List.exists (fun l -> contains l "SIGKILL") c2.E.failed_labels);
       List.iter

@@ -1,8 +1,8 @@
-(* Tests for the persistent worker pool (Harness.Pool), the shared pipe
-   machinery (Harness.Wire) and the crash/timeout classification fixes
-   in Harness.Parallel: the deadline-race rule, EINTR-hardened pipe I/O
-   under a signal storm, worker respawn with one retry, graceful drain,
-   and registry sweeps through the pool dispatch engine. *)
+(* Tests for the persistent worker pool (Harness.Pool) and the shared
+   pipe machinery (Harness.Wire): the deadline-race rule, EINTR-hardened
+   pipe I/O under a signal storm, worker respawn with one retry and
+   graceful drain, and registry sweeps that make each worker serve
+   several experiments. *)
 
 module J = Harness.Json
 module E = Harness.Experiment
@@ -15,52 +15,6 @@ let contains haystack needle =
     i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
   in
   scan 0
-
-(* --- Parallel.classify: the timeout/completion race --- *)
-
-(* The regression the pure function exists for: the worker completed
-   (exited 0, full payload buffered) in the same select round its
-   deadline expired in — the SIGKILL answered ESRCH.  Before the fix the
-   raised [timed_out] flag won and a good result was reported as a
-   timeout crash. *)
-let test_classify_deadline_race () =
-  let outcome =
-    Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-      ~status:(Unix.WEXITED 0) ~payload:"{\"x\":1}" ~wall:0.5
-  in
-  (match outcome with
-  | Harness.Parallel.Completed json ->
-      Alcotest.(check bool) "payload kept" true
-        (J.member "x" json = Some (J.Int 1))
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.failf "completed worker misreported as crashed: %s" reason);
-  (* A genuinely killed worker still reports the timeout... *)
-  (match
-     Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-       ~status:(Unix.WSIGNALED Sys.sigkill) ~payload:"" ~wall:0.6
-   with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "killed worker is a timeout" true
-        (contains reason "timed out after 0.5 s")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "killed worker completed?");
-  (* ...as does one that exited 0 but died mid-write (truncated payload). *)
-  (match
-     Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-       ~status:(Unix.WEXITED 0) ~payload:"{\"x\":" ~wall:0.6
-   with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "truncated payload is a timeout" true
-        (contains reason "timed out")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "truncated payload completed?");
-  (* Without the flag, plain crash classification is untouched. *)
-  match
-    Harness.Parallel.classify ~timed_out:false ~timeout:None
-      ~status:(Unix.WEXITED 3) ~payload:"" ~wall:0.1
-  with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "exit code reported" true
-        (contains reason "exited with code 3")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "exit 3 completed?"
 
 (* --- Wire: framing and the streaming decoder --- *)
 
@@ -165,7 +119,7 @@ let check_storm_outcomes outcomes =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed json ->
+      | P.Completed json ->
           Alcotest.(check bool)
             (Printf.sprintf "job %d payload intact" i)
             true
@@ -174,13 +128,9 @@ let check_storm_outcomes outcomes =
             match J.member "blob" json with
             | Some (J.String s) -> String.length s = 200_000
             | _ -> false)
-      | Harness.Parallel.Crashed { reason; _ } ->
+      | P.Crashed { reason; _ } ->
           Alcotest.failf "job %d crashed under signal storm: %s" i reason)
     outcomes
-
-let test_parallel_eintr_storm () =
-  with_parent_storm (fun () ->
-      check_storm_outcomes (Harness.Parallel.run ~jobs:4 40 storm_job))
 
 let test_pool_eintr_storm () =
   with_parent_storm (fun () ->
@@ -194,7 +144,7 @@ let test_pool_run_basics () =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) (i * i) v
       | _ -> Alcotest.failf "job %d did not complete" i)
     out;
@@ -221,7 +171,7 @@ let test_pool_workers_persist () =
         List.map
           (fun (_, outcome) ->
             match outcome with
-            | Harness.Parallel.Completed (J.Int pid) -> pid
+            | P.Completed (J.Int pid) -> pid
             | _ -> Alcotest.fail "job did not complete")
           (P.run_batch p batch))
       [ [ 0; 1; 2 ]; [ 3; 4 ] ]
@@ -260,11 +210,11 @@ let test_pool_respawn_retry_success () =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) (i * 10) v
-      | Harness.Parallel.Completed _ ->
+      | P.Completed _ ->
           Alcotest.failf "job %d returned an unexpected payload" i
-      | Harness.Parallel.Crashed { reason; _ } ->
+      | P.Crashed { reason; _ } ->
           Alcotest.failf "job %d crashed despite retry: %s" i reason)
     out;
   Alcotest.(check bool) "first attempt really crashed" true
@@ -285,14 +235,14 @@ let test_pool_persistent_crash () =
         J.Int i)
   in
   (match out.(2) with
-  | Harness.Parallel.Crashed { reason; _ } ->
+  | P.Crashed { reason; _ } ->
       Alcotest.(check string) "reason names the signal"
         "worker killed by SIGKILL" reason
-  | Harness.Parallel.Completed _ -> Alcotest.fail "crasher completed?");
+  | P.Completed _ -> Alcotest.fail "crasher completed?");
   List.iter
     (fun i ->
       match out.(i) with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "sibling %d" i) i v
       | _ -> Alcotest.failf "sibling %d crashed" i)
     [ 0; 1; 3 ]
@@ -311,15 +261,15 @@ let test_pool_timeout () =
         J.Int i)
   in
   (match out.(1) with
-  | Harness.Parallel.Crashed { reason; wall } ->
+  | P.Crashed { reason; wall } ->
       Alcotest.(check bool) "reason says timed out" true
         (contains reason "timed out after 0.2 s");
       Alcotest.(check bool) "wall at least the budget" true (wall >= 0.2)
-  | Harness.Parallel.Completed _ -> Alcotest.fail "sleeper completed?");
+  | P.Completed _ -> Alcotest.fail "sleeper completed?");
   List.iter
     (fun i ->
       match out.(i) with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "fast job %d" i) i v
       | _ -> Alcotest.failf "fast job %d crashed" i)
     [ 0; 2 ];
@@ -353,7 +303,7 @@ let test_pool_work_stealing () =
   List.iter
     (fun (i, outcome) ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) i v
       | _ -> Alcotest.failf "job %d crashed" i)
     results;
@@ -392,7 +342,7 @@ let test_pool_alive_ping_shutdown () =
   List.iter
     (fun (i, outcome) ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d after respawn" i) i v
       | _ -> Alcotest.failf "job %d crashed after respawn" i)
     b2;
@@ -441,12 +391,12 @@ let test_pool_service_submit_step () =
   List.iter
     (fun t ->
       match List.assoc_opt (100 + t) settled with
-      | Some (Harness.Parallel.Completed json) ->
+      | Some (P.Completed json) ->
           Alcotest.(check bool)
             (Printf.sprintf "ticket %d payload" t)
             true
             (J.member "y" json = Some (J.Int (t * t)))
-      | Some (Harness.Parallel.Crashed { reason; _ }) ->
+      | Some (P.Crashed { reason; _ }) ->
           Alcotest.failf "ticket %d crashed: %s" t reason
       | None -> Alcotest.failf "ticket %d never settled" t)
     [ 0; 1; 2; 3; 4 ];
@@ -479,25 +429,55 @@ let test_pool_service_crash_and_deadline () =
   P.submit p ~arg:(J.Obj [ ("op", J.String "echo") ]) 3;
   let settled = drive p in
   (match List.assoc_opt 1 settled with
-  | Some (Harness.Parallel.Crashed { reason; _ }) ->
+  | Some (P.Crashed { reason; _ }) ->
       Alcotest.(check bool) "crash reported after retry" true
         (contains reason "exited with code 9")
   | _ -> Alcotest.fail "crasher did not crash");
   (match List.assoc_opt 2 settled with
-  | Some (Harness.Parallel.Crashed { reason; _ }) ->
+  | Some (P.Crashed { reason; _ }) ->
       Alcotest.(check bool) "deadline enforced" true
         (contains reason "timed out after 0.3 s")
   | _ -> Alcotest.fail "hanger did not time out");
   (match List.assoc_opt 3 settled with
-  | Some (Harness.Parallel.Completed json) ->
+  | Some (P.Completed json) ->
       Alcotest.(check bool) "sibling fine" true
         (J.member "fine" json = Some (J.Bool true))
   | _ -> Alcotest.fail "sibling lost");
   (* the pool is back at full strength for more submissions *)
   P.submit p ~arg:(J.Obj [ ("op", J.String "echo") ]) 4;
   match drive p with
-  | [ (4, Harness.Parallel.Completed _) ] -> ()
+  | [ (4, P.Completed _) ] -> ()
   | _ -> Alcotest.fail "pool unusable after crashes"
+
+(* The deadline race, made deterministic: the worker answers at once,
+   but the parent only looks after the deadline has passed.  The
+   response is already buffered, so the job completed — step must read
+   before it enforces deadlines.  Enforcing first would shoot the
+   worker that answered: the job would still settle from the buffered
+   frame, but the worker would be gone and the next ping would fail. *)
+let test_pool_service_deadline_race () =
+  let module Obs = Harness.Obs in
+  let ambient = Obs.level () in
+  Obs.set_level Obs.Counters;
+  Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
+  let snap = Obs.snapshot () in
+  let p = P.create_service ~workers:1 ~timeout:0.2 (fun arg -> arg) in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  let pids = P.worker_pids p in
+  P.submit p ~arg:(J.Int 7) 1;
+  Alcotest.(check int) "nothing settles at dispatch" 0
+    (List.length (P.step p ~readable:[]));
+  ignore (Unix.select [] [] [] 0.4);
+  (match P.step p ~readable:(P.resp_fds p) with
+  | [ (1, P.Completed (J.Int 7)) ] -> ()
+  | [ (1, P.Crashed { reason; _ }) ] ->
+      Alcotest.failf "buffered response misreported as crashed: %s" reason
+  | _ -> Alcotest.fail "expected exactly ticket 1 to settle");
+  Alcotest.(check bool) "one dispatch, no retry" true
+    (List.assoc_opt "pool.dispatches" (Obs.delta snap).Obs.counters = Some 1);
+  Alcotest.(check (list int)) "same worker" pids (P.worker_pids p);
+  Alcotest.(check (list bool)) "worker that answered is still alive" [ true ]
+    (P.ping p)
 
 (* --- worker signal dispositions and orphan reaping --- *)
 
@@ -589,7 +569,7 @@ let test_pool_orphans_reaped_on_parent_kill () =
       Alcotest.(check bool) "workers exit after parent SIGKILL" true
         (poll_until_gone pids)
 
-(* --- registry sweeps through the pool engine --- *)
+(* --- registry sweeps on the pool: workers serving several experiments --- *)
 
 let descr ~id run =
   {
@@ -605,9 +585,12 @@ let with_clean_registry f =
   R.clear ();
   Fun.protect ~finally:R.clear f
 
+(* Nine experiments on at most four workers, so every worker runs more
+   than one: state left in a worker by one experiment must not leak into
+   the artifact of the next. *)
 let test_registry_pool_matches_sequential () =
   with_clean_registry (fun () ->
-      for i = 1 to 5 do
+      for i = 1 to 9 do
         let id = Printf.sprintf "P%d" i in
         R.register
           (descr ~id (fun ctx ->
@@ -622,9 +605,7 @@ let test_registry_pool_matches_sequential () =
       in
       List.iter
         (fun jobs ->
-          let pooled =
-            R.run_parallel ~jobs ~dispatch:`Pool ~echo:ignore (R.all ())
-          in
+          let pooled = R.run_parallel ~jobs ~echo:ignore (R.all ()) in
           Alcotest.(check (list string))
             (Printf.sprintf "registration order kept at %d workers" jobs)
             (List.map (fun (r : E.result) -> r.E.id) seq)
@@ -635,18 +616,19 @@ let test_registry_pool_matches_sequential () =
             (strip seq) (strip pooled);
           Alcotest.(check bool) "no crashes" true
             ((R.summarize pooled).R.crashed = 0))
-        [ 1; 2; 4 ])
+        [ 2; 4 ])
 
+(* A single worker: the crash kills the only worker, so the experiments
+   after it run only if the pool respawns it. *)
 let test_registry_pool_crash_isolation () =
   with_clean_registry (fun () ->
       List.iter
         (fun id ->
           R.register
             (descr ~id (fun ctx -> ignore (E.check ctx ~label:"fine" true))))
-        [ "C1"; "C2"; "C3" ];
+        [ "C1"; "C2"; "C3"; "C4" ];
       let results =
-        R.run_parallel ~jobs:2 ~dispatch:`Pool ~force_crash:[ "C2" ]
-          ~echo:ignore (R.all ())
+        R.run_parallel ~jobs:1 ~force_crash:[ "C2" ] ~echo:ignore (R.all ())
       in
       let find id =
         match List.find_opt (fun (r : E.result) -> r.E.id = id) results with
@@ -662,17 +644,13 @@ let test_registry_pool_crash_isolation () =
         (fun id ->
           Alcotest.(check bool) (id ^ " unaffected") true
             ((find id).E.verdict = E.Pass))
-        [ "C1"; "C3" ];
+        [ "C1"; "C3"; "C4" ];
       Alcotest.(check int) "summary counts the crash" 1
         (R.summarize results).R.crashed)
 
 let () =
   Alcotest.run "pool"
     [
-      ( "classify",
-        [
-          Alcotest.test_case "deadline race" `Quick test_classify_deadline_race;
-        ] );
       ( "wire",
         [
           Alcotest.test_case "decoder split feed" `Quick
@@ -683,8 +661,6 @@ let () =
         ] );
       ( "eintr",
         [
-          Alcotest.test_case "fork runner under signal storm" `Quick
-            test_parallel_eintr_storm;
           Alcotest.test_case "pool under signal storm" `Quick
             test_pool_eintr_storm;
         ] );
@@ -706,6 +682,8 @@ let () =
           Alcotest.test_case "submit/step" `Quick test_pool_service_submit_step;
           Alcotest.test_case "crash and deadline" `Quick
             test_pool_service_crash_and_deadline;
+          Alcotest.test_case "buffered response beats deadline" `Quick
+            test_pool_service_deadline_race;
         ] );
       ( "signals",
         [
