@@ -1,5 +1,5 @@
-(* Zero-sum matrix games by one exact-simplex run.  See matrix_game.mli
-   for the contract; the derivation used here:
+(* Zero-sum matrix games on one exact simplex tableau.  See
+   matrix_game.mli for the contract; the derivation used here:
 
    Shift M by s so that M' = M + s has every entry >= 1 (shifting the
    payoff changes the value by s and no strategy).  The column player's
@@ -11,7 +11,10 @@
    whose optimum is 1/v'.  Then y = w / sum w, and by strong duality the
    dual vector u (one multiplier per row) has sum u = sum w with
    x = u / sum u the row player's optimal mix.  Exact rationals make
-   both read-offs equalities, so the result is a certificate. *)
+   both read-offs equalities, so the result is a certificate.  The LP's
+   columns are the column player's strategies, so a game that gains
+   columns is a tableau that gains columns: the shift is fixed up front
+   from a declared floor on the entries. *)
 
 module Q = Exact.Q
 
@@ -19,13 +22,58 @@ type solution = {
   value : Q.t;
   row_strategy : Q.t array;
   col_strategy : Q.t array;
-  basis : int array;
 }
 
-type warm = { w_basis : int array; w_rows : int; w_cols : int }
+type t = {
+  tab : Simplex.t;
+  rows : int;
+  floor : Q.t;
+  shift : Q.t;
+  mutable cols : int;
+}
 
-let warm ~rows ~cols (sol : solution) =
-  { w_basis = sol.basis; w_rows = rows; w_cols = cols }
+let create ~rows ~floor =
+  if rows < 1 then invalid_arg "Matrix_game.create: no rows";
+  {
+    tab = Simplex.create ~b:(Array.make rows Q.one);
+    rows;
+    floor;
+    shift = (if Q.( < ) floor Q.one then Q.sub Q.one floor else Q.zero);
+    cols = 0;
+  }
+
+let columns g = g.cols
+
+let add_column g col =
+  if Array.length col <> g.rows then
+    invalid_arg "Matrix_game.add_column: column length <> rows";
+  Array.iter
+    (fun v ->
+      if Q.( < ) v g.floor then
+        invalid_arg "Matrix_game.add_column: entry below the floor")
+    col;
+  Simplex.add_column g.tab
+    ~a:(Array.map (fun v -> Q.add v g.shift) col)
+    ~c:Q.one;
+  g.cols <- g.cols + 1
+
+let optimize g =
+  if g.cols = 0 then invalid_arg "Matrix_game.optimize: no columns";
+  match Simplex.optimize g.tab with
+  | Simplex.Unbounded ->
+      (* Impossible: every shifted entry is >= 1, so sum w <= 1 over any
+         single constraint row. *)
+      assert false
+  | Simplex.Optimal { objective; x = w; dual = u } ->
+      (* objective = 1/v' > 0 since v' is finite and positive. *)
+      assert (Q.( > ) objective Q.zero);
+      (* Strong duality, exactly. *)
+      assert (Q.equal (Array.fold_left Q.add Q.zero u) objective);
+      {
+        value = Q.sub (Q.inv objective) g.shift;
+        row_strategy = Array.map (fun ui -> Q.div ui objective) u;
+        col_strategy = Array.map (fun wj -> Q.div wj objective) w;
+      }
 
 let check_shape m =
   let rows = Array.length m in
@@ -39,50 +87,16 @@ let check_shape m =
     m;
   (rows, cols)
 
-(* Remap a basis recorded on a rows×cols0 problem to the current
-   rows×cols one: structural indices are stable, slack indices shift by
-   the number of appended columns.  Only column growth is remappable —
-   a changed row count changes the basis length itself. *)
-let remap_warm ~rows ~cols = function
-  | Some { w_basis; w_rows; w_cols }
-    when w_rows = rows && w_cols <= cols && Array.length w_basis = rows ->
-      Some
-        (Array.map (fun j -> if j < w_cols then j else j - w_cols + cols) w_basis)
-  | _ -> None
-
-let solve ?warm m =
+let solve m =
   let rows, cols = check_shape m in
-  let lo =
-    Array.fold_left
-      (fun acc row -> Array.fold_left Q.min acc row)
-      m.(0).(0) m
+  let floor =
+    Array.fold_left (fun acc row -> Array.fold_left Q.min acc row) m.(0).(0) m
   in
-  let shift = if Q.( < ) lo Q.one then Q.sub Q.one lo else Q.zero in
-  let a =
-    Array.map (fun row -> Array.map (fun v -> Q.add v shift) row) m
-  in
-  let b = Array.make rows Q.one in
-  let c = Array.make cols Q.one in
-  let outcome =
-    match remap_warm ~rows ~cols warm with
-    | Some warm_start -> Simplex.maximize_warm ~warm_start ~a ~b ~c
-    | None -> Simplex.maximize ~a ~b ~c
-  in
-  match outcome with
-  | Simplex.Unbounded ->
-      (* Impossible: every entry of [a] is >= 1, so sum w <= 1 over any
-         single constraint row. *)
-      assert false
-  | Simplex.Optimal { objective; x = w; dual = u; basis } ->
-      (* objective = 1/v' > 0 since v' is finite and positive. *)
-      assert (Q.( > ) objective Q.zero);
-      let usum = Array.fold_left Q.add Q.zero u in
-      (* Strong duality, exactly. *)
-      assert (Q.equal usum objective);
-      let value = Q.sub (Q.inv objective) shift in
-      let col_strategy = Array.map (fun wj -> Q.div wj objective) w in
-      let row_strategy = Array.map (fun ui -> Q.div ui objective) u in
-      { value; row_strategy; col_strategy; basis }
+  let g = create ~rows ~floor in
+  for j = 0 to cols - 1 do
+    add_column g (Array.map (fun row -> row.(j)) m)
+  done;
+  optimize g
 
 let is_distribution p =
   Array.for_all (fun v -> Q.( >= ) v Q.zero) p

@@ -11,10 +11,13 @@
     dual; exact arithmetic makes strong duality an equality, not an
     approximation.
 
-    This is the restricted-game kernel of the double-oracle solver
-    ({!Solver.Double_oracle}), which re-solves a slowly growing matrix
-    every iteration — hence the warm-restart support threading the
-    previous simplex basis through column growth. *)
+    The column player's strategies are the LP's columns, so a game with
+    a fixed row set can also be kept open ({!create}) and grown one
+    column at a time ({!add_column}), each {!optimize} continuing the
+    same simplex tableau from its previous optimal basis.  This is the
+    restricted-game kernel of the double-oracle solver
+    ({!Solver.Double_oracle}), whose defender strategies arrive as new
+    columns on almost every iteration. *)
 
 module Q = Exact.Q
 
@@ -22,32 +25,40 @@ type solution = {
   value : Q.t;  (** the game value, payoff to the row maximizer *)
   row_strategy : Q.t array;  (** maximizer mix over rows; sums to 1 *)
   col_strategy : Q.t array;  (** minimizer mix over columns; sums to 1 *)
-  basis : int array;  (** simplex basis certificate, for {!warm} *)
 }
 
-type warm
-(** A warm-restart token: the basis of a previous {!solve} plus the
-    shape it was computed for. *)
-
-(** [warm ~rows ~cols sol] packages [sol] (obtained on a [rows]×[cols]
-    matrix) for reuse by a later {!solve}. *)
-val warm : rows:int -> cols:int -> solution -> warm
-
-(** [solve ?warm m] computes value and optimal mixed strategies of the
-    zero-sum game with row-maximizer payoff matrix [m] (m×n, m,n ≥ 1).
-
-    When [?warm] is given and the new matrix extends the old one by
-    appended columns only (same row count, [cols' ≥ cols], earlier
-    columns unchanged in meaning), the previous basis is remapped and
-    reused — appended columns enter at weight 0, so the old optimum
-    stays feasible and the simplex merely prices the newcomers.  Any
-    shape mismatch, or a basis the new data rejects, falls back to a
-    cold solve.  Either way the result is an exact equilibrium at the
-    unique game value; in degenerate games with several optimal bases
-    the warm and cold paths may return different (equally optimal)
-    strategies.
+(** [solve m] computes value and optimal mixed strategies of the
+    zero-sum game with row-maximizer payoff matrix [m] (m×n, m,n ≥ 1),
+    on a fresh tableau.
     @raise Invalid_argument on an empty or ragged matrix. *)
-val solve : ?warm:warm -> Q.t array array -> solution
+val solve : Q.t array array -> solution
+
+(** A game with a fixed row set whose columns arrive incrementally. *)
+type t
+
+(** [create ~rows ~floor] is the game with [rows] rows (≥ 1) and no
+    columns yet.  [floor] is a lower bound on every entry any column
+    will hold: it fixes the payoff shift once, so the tableau never has
+    to be rebuilt.  One-shot {!solve} uses the matrix minimum.
+    @raise Invalid_argument when [rows < 1]. *)
+val create : rows:int -> floor:Q.t -> t
+
+(** [add_column g col] appends a column (one payoff per row).  It
+    enters at weight 0, so the previous optimum stays feasible and the
+    next {!optimize} merely prices the newcomer.
+    @raise Invalid_argument on a wrong length or an entry below the
+    floor. *)
+val add_column : t -> Q.t array -> unit
+
+(** Columns added so far. *)
+val columns : t -> int
+
+(** [optimize g] solves the game on the columns added so far,
+    continuing from the previous optimal basis.  In degenerate games
+    with several optimal bases, the strategies may differ from a fresh
+    {!solve} of the same matrix; the value never does.
+    @raise Invalid_argument when no column has been added. *)
+val optimize : t -> solution
 
 (** [is_equilibrium m sol] checks the certificate exactly: both
     strategies are distributions, no pure row deviation exceeds

@@ -4,10 +4,12 @@
    - The restricted matrix is the ESCAPE game: rows = attacker vertices
      maximizing 1 − [covered], columns = defender strategies minimizing
      it.  Solving from the attacker side puts the defender's strategies
-     in the LP columns, which is what makes warm restarts pay: the
-     defender side is the one that grows on almost every iteration, and
-     appended columns keep the previous simplex basis feasible, while a
-     new attacker row invalidates it (Matrix_game then falls back cold).
+     in the LP columns: the defender side is the one that grows, and an
+     appended column keeps the previous simplex basis feasible, so one
+     tableau serves every iteration.  By default every vertex is a row,
+     so the attacker oracle never improves and the tableau is built
+     once; with seeded rows, a new attacker row changes the LP's row
+     set and the tableau is rebuilt over it.
    - At a restricted equilibrium every restricted vertex is hit with
      probability ≥ v* and every restricted strategy intercepts ≤ v*, so
      a strictly improving oracle answer is provably NOT in the
@@ -79,12 +81,18 @@ module Make (G : Defender.Game.S) = struct
       end
     in
     (match init_vertices with
-    | [] -> add_vertex 0
+    | [] ->
+        for v = 0 to n - 1 do
+          add_vertex v
+        done
     | vs -> List.iter add_vertex vs);
     (match init_strategies with
     | [] -> add_strategy (G.round_robin inst ~round:0)
     | ss -> List.iter add_strategy ss);
-    let prev = ref None in
+    (* The restricted game's tableau, kept across iterations while the
+       row set is unchanged; new defender strategies are appended to it
+       as escape-indicator columns (entries 0/1, hence floor 0). *)
+    let tableau = ref None in
     let iterations = ref 0 and warm_solves = ref 0 in
     let rec loop () =
       if !iterations >= max_iterations then
@@ -97,20 +105,23 @@ module Make (G : Defender.Game.S) = struct
       let rows = Array.of_list (List.rev !rows_rev) in
       let cols = Array.of_list (List.rev !cols_rev) in
       let nr = Array.length rows and nc = Array.length cols in
-      let matrix =
-        Array.init nr (fun i ->
-            Array.init nc (fun j ->
-                if G.covers inst cols.(j) rows.(i) then Q.zero else Q.one))
-      in
-      let warm =
-        match !prev with
-        | Some (sol, pr, pc) when pr = nr ->
+      let game =
+        match !tableau with
+        | Some (game, built_rows) when built_rows = nr ->
             incr warm_solves;
-            Some (Lp.Matrix_game.warm ~rows:pr ~cols:pc sol)
-        | _ -> None
+            game
+        | _ ->
+            let game = Lp.Matrix_game.create ~rows:nr ~floor:Q.zero in
+            tableau := Some (game, nr);
+            game
       in
-      let sol = Lp.Matrix_game.solve ?warm matrix in
-      prev := Some (sol, nr, nc);
+      for j = Lp.Matrix_game.columns game to nc - 1 do
+        Lp.Matrix_game.add_column game
+          (Array.map
+             (fun v -> if G.covers inst cols.(j) v then Q.zero else Q.one)
+             rows)
+      done;
+      let sol = Lp.Matrix_game.optimize game in
       let v_star = Q.sub Q.one sol.Lp.Matrix_game.value in
       (* Defender oracle: best pure interception against σ. *)
       let weight = Array.make n Q.zero in

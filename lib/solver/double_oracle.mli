@@ -11,32 +11,37 @@
 
     The loop (McMahan et al. 2003; applied to network attack/defense by
     Kaźmierowski–Dziubiński, arXiv:2309.04288) never materializes the
-    full matrix: it keeps RESTRICTED sets of attacker vertices and
-    defender strategies, solves the restricted game exactly
-    ({!Lp.Matrix_game}, warm-restarted across column growth), then asks
-    each side's exact best-response oracle for a profitable deviation
-    against the opponent's current mix — the attacker side by a linear
-    scan of per-vertex hit probabilities, the defender side through
-    {!Defender.Game.S.best_response_weighted}.  Strict improvements
-    join the restricted sets; when neither oracle improves, the
-    restricted equilibrium is an equilibrium of the full game, with a
-    zero oracle gap in exact rationals — a certificate, not an
-    ε-approximation.  Termination is guaranteed: an improving deviation
-    is never already in the restricted set, so each iteration strictly
-    grows one of two finite sets.
+    full matrix: it keeps a RESTRICTED set of defender strategies (and,
+    when seeded, of attacker vertices; by default every vertex is a
+    row), solves the restricted game exactly on one persistent
+    {!Lp.Matrix_game} tableau — each new defender strategy is appended
+    as a column and the simplex continues from its previous optimal
+    basis — then asks each side's exact best-response oracle for a
+    profitable deviation against the opponent's current mix — the
+    attacker side by a linear scan of per-vertex hit probabilities, the
+    defender side through {!Defender.Game.S.best_response_weighted}.
+    Strict improvements join the restricted sets; when neither oracle
+    improves, the restricted equilibrium is an equilibrium of the full
+    game, with a zero oracle gap in exact rationals — a certificate,
+    not an ε-approximation.  Termination is guaranteed: an improving
+    deviation is never already in the restricted set, so each
+    iteration strictly grows one of two finite sets.
 
     Everything is deterministic in the instance and the initial sets:
     restricted sets grow in insertion order, the simplex and both
     oracles break ties by fixed rules, so repeated solves (and solves
-    across worker processes) agree to the bit, as the [do.*] Obs
-    counters require. *)
+    across worker processes) agree to the bit, as the [do.*] and
+    [lp.*] Obs counters require. *)
 
 module Q = Exact.Q
 
 module Make (G : Defender.Game.S) : sig
   (** One loop iteration, as reported to [?on_iteration]: [value] is the
       restricted-game interception value, [lower]/[upper] the exact
-      bounds the two oracles certify for the FULL game at this point
+      bounds the two oracles certify for the FULL game at this point —
+      [lower] from the attacker oracle (the defender mix hits every
+      vertex at least that often), [upper] from the defender oracle
+      (against the attacker mix no strategy intercepts more) —
       ([lower ≤ value ≤ upper] always; convergence is [lower = upper]),
       and [rows]/[cols] the restricted matrix shape that was solved. *)
   type iteration = {
@@ -52,8 +57,9 @@ module Make (G : Defender.Game.S) : sig
     iterations : int;
     oracle_calls : int;  (** 2 per iteration: one per side *)
     warm_solves : int;
-        (** restricted solves entered with a reusable simplex basis
-            (row set unchanged since the previous solve) *)
+        (** restricted solves that continued the previous iteration's
+            tableau (row set unchanged, new columns appended); the
+            others, [iterations - warm_solves], built a tableau *)
     final_rows : int;  (** attacker vertices in the final restricted game *)
     final_cols : int;  (** defender strategies in the final restricted game *)
   }
@@ -73,8 +79,11 @@ module Make (G : Defender.Game.S) : sig
   (** [solve inst] runs the loop to convergence.
 
       [?init_vertices]/[?init_strategies] seed the restricted sets
-      (defaults: vertex 0 and the round-0 rotation strategy); seeding
-      with the supports of a conjectured equilibrium makes the loop a
+      (defaults: every vertex, so the whole solve runs on one tableau,
+      and the round-0 rotation strategy).  A non-empty [?init_vertices]
+      seeds exactly those rows; a row the attacker oracle adds later
+      rebuilds the tableau over the new row set.  Seeding with the
+      supports of a conjectured equilibrium makes the loop a
       one-iteration checker of that conjecture.  [?on_iteration] sees
       every iteration in order — convergence instrumentation
       ([Sim.Convergence]) hooks in here.  [?max_iterations] (default

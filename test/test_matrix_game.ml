@@ -2,9 +2,10 @@
    the simplex robustness it rests on: equilibrium certificates on
    random matrices, agreement with the independently derived Minimax LP
    on single-edge covering games, degenerate shapes (duplicate rows,
-   dominated columns, 1×n), warm restarts, and anti-cycling regressions
-   (Beale's example) for the degenerate tableaux the double-oracle loop
-   feeds the simplex repeatedly. *)
+   dominated columns, 1×n), columns appended to one tableau and
+   re-optimized, and anti-cycling regressions (Beale's example, one-shot
+   and column by column) for the degenerate tableaux the double-oracle
+   loop feeds the simplex repeatedly. *)
 
 open Netgraph
 module Q = Exact.Q
@@ -141,43 +142,59 @@ let prop_value_in_range =
       in
       Q.( <= ) mn sol.MG.value && Q.( <= ) sol.MG.value mx)
 
-(* --- warm restarts --- *)
+(* --- incremental columns on one tableau --- *)
+
+(* A game holding the first [cols] columns of [m], on a floor low
+   enough for every entry of [m]. *)
+let open_game m cols =
+  let floor =
+    Array.fold_left (fun a r -> Array.fold_left Q.min a r) m.(0).(0) m
+  in
+  let g = MG.create ~rows:(Array.length m) ~floor in
+  for j = 0 to cols - 1 do
+    MG.add_column g (Array.map (fun row -> row.(j)) m)
+  done;
+  g
 
 let test_warm_column_growth () =
-  (* Append columns (including a useless duplicate) and re-solve warm:
-     the answer must match the cold solve exactly. *)
-  let base = matrix [ [ 1; 0 ]; [ 0; 1 ] ] in
-  let sb = MG.solve base in
+  (* Append columns (including a useless duplicate) and re-optimize the
+     same tableau: the answer must match the one-shot solve exactly. *)
   let ext = matrix [ [ 1; 0; 1; 2 ]; [ 0; 1; 0; 2 ] ] in
-  let warm = MG.warm ~rows:2 ~cols:2 sb in
-  let sw = MG.solve ~warm ext and sc = MG.solve ext in
+  let g = open_game ext 2 in
+  ignore (MG.optimize g);
+  MG.add_column g [| qi 1; qi 0 |];
+  MG.add_column g [| qi 2; qi 2 |];
+  let sw = MG.optimize g and sc = MG.solve ext in
   Alcotest.check q "warm value = cold value" sc.MG.value sw.MG.value;
   Alcotest.(check bool) "warm certificate" true (MG.is_equilibrium ext sw)
 
 let test_warm_shape_mismatch_falls_back () =
-  (* A row was added since the basis was recorded: the token must be
-     ignored and the solve still exact. *)
+  (* A row was added: the 2-row tableau cannot take a 3-entry column,
+     so the caller falls back to a tableau over the new row set, and
+     that solve is exact. *)
   let base = matrix [ [ 1; 0 ]; [ 0; 1 ] ] in
-  let sb = MG.solve base in
+  let g = open_game base 2 in
+  ignore (MG.optimize g);
+  Alcotest.check_raises "taller column rejected"
+    (Invalid_argument "Matrix_game.add_column: column length <> rows")
+    (fun () -> MG.add_column g [| qi 1; qi 0; qi 1 |]);
   let taller = matrix [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
-  let warm = MG.warm ~rows:2 ~cols:2 sb in
-  let sw = MG.solve ~warm taller in
-  (* The new row intercepts both columns, so the value jumps to 1 —
-     obtained despite the now-useless warm token. *)
+  let sw = MG.optimize (open_game taller 2) in
+  (* The new row intercepts both columns, so the value jumps to 1. *)
   Alcotest.check q "fallback solve correct" Q.one sw.MG.value;
   Alcotest.(check bool) "certificate" true (MG.is_equilibrium taller sw)
 
 let prop_warm_equals_cold =
-  (* Random base + random appended columns: the warm restart reaches the
-     same (unique) game value and a valid equilibrium.  Strategies may
-     differ from the cold solve's when several optimal bases exist —
-     only the value is unique. *)
+  (* Random base + random appended columns: re-optimizing the grown
+     tableau reaches the same (unique) game value as the one-shot solve
+     and a valid equilibrium.  Strategies may differ from the one-shot
+     solve's when several optimal bases exist — only the value is
+     unique. *)
   QCheck.Test.make ~name:"warm restart = cold value on column growth"
     ~count:150
     (QCheck.pair arb_matrix (QCheck.make QCheck.Gen.(int_range 1 3)))
     (fun (m, extra) ->
-      let rows = Array.length m and cols = Array.length m.(0) in
-      let sb = MG.solve m in
+      let cols = Array.length m.(0) in
       let ext =
         Array.mapi
           (fun i row ->
@@ -185,9 +202,40 @@ let prop_warm_equals_cold =
               (Array.init extra (fun j -> m.(i).((j + i) mod cols))))
           m
       in
-      let warm = MG.warm ~rows ~cols sb in
-      let sw = MG.solve ~warm ext and sc = MG.solve ext in
+      let g = open_game ext cols in
+      ignore (MG.optimize g);
+      for j = cols to cols + extra - 1 do
+        MG.add_column g (Array.map (fun row -> row.(j)) ext)
+      done;
+      let sw = MG.optimize g and sc = MG.solve ext in
       Q.equal sw.MG.value sc.MG.value && MG.is_equilibrium ext sw)
+
+let prop_batches_equal_one_shot =
+  (* Columns of a random matrix appended in random batches, the tableau
+     re-optimized after each batch: every intermediate game agrees with
+     the one-shot solve of the same column prefix, value exactly, and
+     passes the equilibrium certificate. *)
+  QCheck.Test.make ~name:"batched add_column = one-shot solve" ~count:200
+    (QCheck.pair arb_matrix
+       (QCheck.make QCheck.Gen.(list_size (int_range 1 4) (int_range 1 3))))
+    (fun (m, batches) ->
+      let cols = Array.length m.(0) in
+      let prefix c = Array.map (fun row -> Array.sub row 0 c) m in
+      let g = open_game m 0 in
+      let rec feed added = function
+        | _ when added = cols -> true
+        | [] -> feed added [ cols ]
+        | b :: rest ->
+            let upto = min cols (added + b) in
+            for j = added to upto - 1 do
+              MG.add_column g (Array.map (fun row -> row.(j)) m)
+            done;
+            let sol = MG.optimize g in
+            Q.equal sol.MG.value (MG.solve (prefix upto)).MG.value
+            && MG.is_equilibrium (prefix upto) sol
+            && feed upto rest
+      in
+      feed 0 batches)
 
 (* --- simplex robustness: degeneracy and anti-cycling --- *)
 
@@ -222,6 +270,37 @@ let test_degenerate_duplicate_constraints () =
   | Lp.Simplex.Optimal { objective; _ } ->
       Alcotest.check q "duplicate constraints" Q.one objective
 
+(* Columns of [a] fed to a fresh tableau one at a time, re-optimizing
+   after each. *)
+let column_by_column ~a ~b ~c =
+  let t = Lp.Simplex.create ~b in
+  let last = ref Lp.Simplex.Unbounded in
+  Array.iteri
+    (fun j cj ->
+      Lp.Simplex.add_column t ~a:(Array.map (fun row -> row.(j)) a) ~c:cj;
+      last := Lp.Simplex.optimize t)
+    c;
+  (t, !last)
+
+let test_beale_column_by_column () =
+  (* The same cycling example grown through add_column: every
+     intermediate LP is bounded and the last one ends at 1/20. *)
+  let a =
+    [|
+      [| Q.make 1 4; qi (-60); Q.make (-1) 25; qi 9 |];
+      [| Q.make 1 2; qi (-90); Q.make (-1) 50; qi 3 |];
+      [| Q.zero; Q.zero; Q.one; Q.zero |];
+    |]
+  in
+  let b = [| Q.zero; Q.zero; Q.one |] in
+  let c = [| Q.make 3 4; qi (-150); Q.make 1 50; qi (-6) |] in
+  match column_by_column ~a ~b ~c with
+  | _, Lp.Simplex.Unbounded -> Alcotest.fail "Beale LP is bounded"
+  | _, Lp.Simplex.Optimal { objective; x; _ } ->
+      Alcotest.check q "Beale optimum" (Q.make 1 20) objective;
+      Alcotest.(check bool) "optimum feasible" true
+        (Lp.Simplex.feasible ~a ~b ~x)
+
 let test_simplex_warm_basis_roundtrip () =
   let a = [| [| Q.one; Q.one |]; [| Q.one; Q.zero |] |] in
   let b = [| qi 2; Q.one |] in
@@ -231,19 +310,19 @@ let test_simplex_warm_basis_roundtrip () =
     | Lp.Simplex.Optimal s -> s
     | Lp.Simplex.Unbounded -> Alcotest.fail "bounded"
   in
-  (match Lp.Simplex.maximize_warm ~warm_start:cold.Lp.Simplex.basis ~a ~b ~c with
+  (* Re-optimizing a tableau already at its optimum returns it again. *)
+  let t, _ = column_by_column ~a ~b ~c in
+  (match Lp.Simplex.optimize t with
   | Lp.Simplex.Optimal s ->
       Alcotest.check q "re-solve from own basis" cold.Lp.Simplex.objective
         s.Lp.Simplex.objective
   | Lp.Simplex.Unbounded -> Alcotest.fail "bounded");
-  Alcotest.check_raises "wrong basis length"
-    (Invalid_argument "Simplex.maximize: warm-start basis length <> rows")
-    (fun () ->
-      ignore (Lp.Simplex.maximize_warm ~warm_start:[| 0 |] ~a ~b ~c));
-  Alcotest.check_raises "duplicate basis index"
-    (Invalid_argument "Simplex.maximize: duplicate warm-start basis index")
-    (fun () ->
-      ignore (Lp.Simplex.maximize_warm ~warm_start:[| 1; 1 |] ~a ~b ~c))
+  Alcotest.check_raises "wrong column length"
+    (Invalid_argument "Simplex.add_column: |a| <> rows")
+    (fun () -> Lp.Simplex.add_column t ~a:[| Q.one |] ~c:Q.one);
+  Alcotest.check_raises "negative right-hand side"
+    (Invalid_argument "Simplex.create: negative right-hand side (packing form)")
+    (fun () -> ignore (Lp.Simplex.create ~b:[| Q.one; qi (-1) |]))
 
 let () =
   Alcotest.run "matrix_game"
@@ -265,6 +344,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_equilibrium;
           QCheck_alcotest.to_alcotest prop_value_in_range;
           QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+          QCheck_alcotest.to_alcotest prop_batches_equal_one_shot;
         ] );
       ( "warm",
         [
@@ -275,6 +355,8 @@ let () =
       ( "simplex",
         [
           Alcotest.test_case "Beale anti-cycling" `Quick test_beale_cycling;
+          Alcotest.test_case "Beale column by column" `Quick
+            test_beale_column_by_column;
           Alcotest.test_case "degenerate duplicate constraints" `Quick
             test_degenerate_duplicate_constraints;
           Alcotest.test_case "warm basis roundtrip" `Quick

@@ -240,6 +240,39 @@ let test_deterministic () =
   Alcotest.(check int) "same iterations" r1.DO.stats.DO.iterations
     r2.DO.stats.DO.iterations
 
+(* --- differential: both seedings against full enumeration --- *)
+
+(* The whole tuple game as one matrix: rows = attacker vertices, columns
+   = every defender strategy, payoff = the attacker's escape indicator.
+   Its value is 1 − (interception value). *)
+let enumerated_value m =
+  let n = Graph.n (Defender.Model.graph m) in
+  let strategies =
+    Array.of_list
+      (List.rev (TG.fold_strategies m ~init:[] ~f:(fun acc t -> t :: acc)))
+  in
+  let escape =
+    Array.init n (fun v ->
+        Array.map
+          (fun t -> if TG.covers m t v then Q.zero else Q.one)
+          strategies)
+  in
+  Q.sub Q.one (Lp.Matrix_game.solve escape).Lp.Matrix_game.value
+
+let prop_differential =
+  QCheck.Test.make
+    ~name:"default DO = DO seeded at vertex 0 = enumeration" ~count:80
+    QCheck.(
+      make
+        ~print:(fun (seed, n, k) -> Printf.sprintf "seed=%d n=%d k=%d" seed n k)
+        Gen.(triple (int_range 0 1000) (int_range 2 6) (int_range 1 2)))
+    (fun (seed, n, k) ->
+      let g = Gen.gnp_connected (Prng.Rng.create seed) ~n ~p:0.5 in
+      let m = model ~g ~nu:2 ~k:(min k (Graph.m g)) in
+      let full = DO.solve m and seeded = DO.solve m ~init_vertices:[ 0 ] in
+      let exact = enumerated_value m in
+      Q.equal full.DO.value exact && Q.equal seeded.DO.value exact)
+
 let test_do_counters () =
   let old = Obs.level () in
   Obs.set_level Obs.Counters;
@@ -288,5 +321,6 @@ let () =
             test_iteration_reports;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "do.* counters" `Quick test_do_counters;
+          QCheck_alcotest.to_alcotest prop_differential;
         ] );
     ]
